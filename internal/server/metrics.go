@@ -39,9 +39,8 @@ func renderMetrics(st Statz) []byte {
 
 	head("abacus_queries_total", "counter", "Admitted queries by final result.")
 	for _, s := range st.Services {
-		good := s.Completed - (s.Violated - s.Dropped)
-		emit("abacus_queries_total{service=%q,result=\"ok\"} %d\n", s.Model, good)
-		emit("abacus_queries_total{service=%q,result=\"violated\"} %d\n", s.Model, s.Violated-s.Dropped)
+		emit("abacus_queries_total{service=%q,result=\"ok\"} %d\n", s.Model, s.Completed-s.Violated)
+		emit("abacus_queries_total{service=%q,result=\"violated\"} %d\n", s.Model, s.Violated)
 		emit("abacus_queries_total{service=%q,result=\"dropped\"} %d\n", s.Model, s.Dropped)
 	}
 

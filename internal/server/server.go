@@ -591,7 +591,6 @@ func (s *Server) onResult(n *node, q *sched.Query) {
 	st := s.svc[g]
 	if q.Dropped {
 		st.dropped++
-		st.violated++
 	} else {
 		st.completed++
 		lat := q.Latency()
@@ -989,10 +988,13 @@ type ServiceStatz struct {
 	RejectedQueue    int64   `json:"rejected_queue"`
 	RejectedDraining int64   `json:"rejected_draining"`
 	RejectedDegraded int64   `json:"rejected_degraded"`
-	Completed        int64   `json:"completed"`
-	Dropped          int64   `json:"dropped"`
-	Violated         int64   `json:"violated"`
-	QueueDepth       int     `json:"queue_depth"`
+	// Every accepted query ends as exactly one of completed or dropped;
+	// Violated counts the completed ones that missed their deadline, so
+	// good (Completed − Violated), Violated and Dropped are disjoint.
+	Completed  int64 `json:"completed"`
+	Dropped    int64 `json:"dropped"`
+	Violated   int64 `json:"violated"`
+	QueueDepth int   `json:"queue_depth"`
 	// Per-service drift state: the widest admission margin any replica's
 	// verdicts pay, whether any replica's drift detector is active, and the
 	// worst divergence EWMA acted on.
