@@ -656,11 +656,13 @@ func (h *harness) scheduleWindow(w Window) {
 // cadence that lets quarantined replicas rejoin. migrated reports that a
 // degraded replica was skipped. Single-node runs route trivially.
 func (h *harness) route(svc int) (n *hNode, migrated bool) {
+	// Every routing decision advances the probe counter, single-node
+	// instants of an elastic run included.
+	h.probes[svc]++
+	probe := h.probes[svc]%probeEvery == 0
 	if len(h.nodes) == 1 {
 		return h.nodes[0], false
 	}
-	h.probes[svc]++
-	probe := h.probes[svc]%probeEvery == 0
 	base := h.scratchBase[:0]
 	for _, c := range h.nodes {
 		if c.draining || c.retired || (c.warming && !probe) {

@@ -681,7 +681,8 @@ func (s *Server) route(svc int, requestID string) (n *node, local int, migrated 
 	// EWMA then tracks reality and a replica that healed (or tripped on a
 	// startup transient) decays below the exit ratio and rejoins, instead
 	// of staying frozen out because no completions ever update it.
-	if len(refs) > 1 && s.probes[svc].Add(1)%probeEvery != 0 {
+	// Every routing decision advances the probe counter.
+	if s.probes[svc].Add(1)%probeEvery != 0 && len(refs) > 1 {
 		healthy := make([]hostRef, 0, len(refs))
 		for _, r := range refs {
 			if !s.nodes[r.node].degraded[r.local].Load() {
