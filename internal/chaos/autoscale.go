@@ -9,20 +9,9 @@ package chaos
 import (
 	"fmt"
 
+	"abacus/internal/scaler"
 	"abacus/internal/sim"
 )
-
-// newNodeReport allocates a stable per-node report and registers it. Reports
-// live on the heap (not in rep.Nodes) because an elastic run appends nodes
-// mid-flight; finalize folds them into rep.Nodes in ID order.
-func (h *harness) newNodeReport(n *hNode) *NodeReport {
-	nr := &NodeReport{Node: n.id, Services: make([]ServiceReport, len(n.rt.Services()))}
-	for i, svc := range n.rt.Services() {
-		nr.Services[i] = ServiceReport{Service: i, Model: svc.Model.String(), CalibSlope: 1}
-	}
-	h.nodeReps = append(h.nodeReps, nr)
-	return nr
-}
 
 // scaleTick is one control-loop interval: measure offered QPS since the last
 // tick, let the controller decide, and execute its advice as virtual-time
@@ -32,59 +21,43 @@ func (h *harness) scaleTick(now sim.Time) {
 	qps := float64(h.tickQueries) * 1000 / cfg.IntervalMS
 	h.tickQueries = 0
 	adv := h.ctrl.Tick(float64(now), qps)
-	for _, id := range adv.Promote {
-		h.nodes[id].warming = false
-	}
-	for _, id := range adv.Add {
-		h.addNode(id, now)
-	}
-	for _, id := range adv.Drain {
-		h.drainNode(h.nodes[id], now)
+	_, drained := h.fleet.Apply(adv, func(id int) *hNode { return h.addNode(id, now) })
+	// A drained node retires once its in-flight queries resolve
+	// (immediately when idle).
+	for _, n := range drained {
+		if n.inflight == 0 {
+			h.retireNode(n, now)
+		}
 	}
 }
 
 // addNode provisions one warming node on the shared engine mid-run.
-func (h *harness) addNode(id int, now sim.Time) {
-	n, err := h.newHNode(id, h.eng)
+func (h *harness) addNode(id int, now sim.Time) *hNode {
+	n, err := h.newNode(id)
 	if err != nil {
 		// The founders were built from the same config; a failure here is a
 		// harness bug, not a scenario input error.
 		panic(fmt.Sprintf("chaos: adding node %d: %v", id, err))
 	}
-	if id != len(h.nodes) {
-		panic(fmt.Sprintf("chaos: controller allocated node %d, harness has %d", id, len(h.nodes)))
-	}
-	n.warming = true
-	nr := h.newNodeReport(n)
-	nr.Window = &NodeWindow{FirstMS: float64(now)}
-	n.rep = nr
-	h.nodes = append(h.nodes, n)
-}
-
-// drainNode marks a node unroutable; it retires once in-flight queries
-// resolve (immediately when idle).
-func (h *harness) drainNode(n *hNode, now sim.Time) {
-	n.draining = true
-	n.warming = false
-	if n.inflight == 0 {
-		h.retireNode(n, now)
-	}
+	n.rep.Window = &NodeWindow{FirstMS: float64(now)}
+	return n
 }
 
 // retireNode closes the node's lifetime window. Its stats stay in the
 // report; the router never sees it again.
 func (h *harness) retireNode(n *hNode, now sim.Time) {
-	n.retired = true
+	h.fleet.Retire(n.ID)
 	n.rep.Window.LastMS = float64(now)
-	h.ctrl.Retire(n.id, float64(now))
+	h.ctrl.Retire(n.ID, float64(now))
 }
 
 // finalizeAutoscale closes live nodes' windows at the terminal instant and
 // folds the controller state into the report.
 func (h *harness) finalizeAutoscale() {
 	end := float64(h.eng.Now())
-	for _, n := range h.nodes {
-		if !n.retired {
+	fl := h.fleet.Load()
+	for id, n := range fl.Nodes() {
+		if fl.Phase(id) != scaler.Retired {
 			n.rep.Window.LastMS = end
 		}
 	}

@@ -5,9 +5,8 @@ import (
 
 	"abacus/internal/admit"
 	"abacus/internal/calib"
-	"abacus/internal/cluster"
-	"abacus/internal/core"
 	"abacus/internal/dnn"
+	"abacus/internal/fleet"
 	"abacus/internal/gpusim"
 	"abacus/internal/predictor"
 	"abacus/internal/scaler"
@@ -277,99 +276,73 @@ type pend struct {
 	workMS float64
 }
 
-// hNode is one node's serving stack inside the harness: its own device on
-// the shared engine, runtime, admitter, perturbation layer, and optional
-// calibration tracker. The lifecycle flags only move in elastic runs; a
-// fixed fleet leaves all three false (fully routable forever).
+// hNode is one node inside the harness: the shared fleet stack on the
+// harness engine, plus its perturbation layer (the fault windows' handle on
+// the predictor), its per-node report, and its in-flight count.
 type hNode struct {
-	id      int
-	rt      *core.Runtime
-	adm     *admit.Admitter
-	perturb *predictor.Perturbed
-	memo    *predictor.Memoized // nil when the oracle cache is off
-	tracker *calib.Tracker      // nil when calibration is off
-	rep     *NodeReport         // nil for single-node runs
-
-	warming  bool // paying warm-up: probe trickle only
-	draining bool // unroutable, waiting out in-flight queries
-	retired  bool // drained and stopped
-	inflight int  // admitted queries not yet resolved
+	*fleet.Node
+	perturb  *predictor.Perturbed
+	rep      *NodeReport // nil for single-node runs
+	inflight int         // admitted queries not yet resolved
 }
 
 // harness wires one scenario run; everything runs on the engine goroutine.
 type harness struct {
-	sc       Scenario
-	retry    RetryConfig
-	eng      *sim.Engine
-	nodes    []*hNode
-	nodeReps []*NodeReport // stable per-node reports (folded into rep.Nodes)
-	probes   []int64       // per-service route counter driving quarantine probes
-	pending  map[*sched.Query]*pend
-	rep      *Report
-	lats     []float64
+	sc      Scenario
+	retry   RetryConfig
+	eng     *sim.Engine // the run's clock, shared by every node of a cluster run
+	fleet   *fleet.Fleet[*hNode]
+	pending map[*sched.Query]*pend
+	rep     *Report
+	lats    []float64
 
 	ctrl        *scaler.Controller // nil for fixed fleets
 	tickQueries int64              // offered arrivals since the last scale tick
-
-	// route scratch, reused across calls to keep the hot path allocation
-	// free now that the candidate set is dynamic.
-	scratchBase    []*hNode
-	scratchHealthy []*hNode
 }
 
-// probeEvery is the quarantine-probe cadence: every Nth routing decision per
-// service ignores the health filter, so a quarantined replica keeps receiving
-// a trickle of traffic. Its drift EWMA then tracks reality — a replica that
-// healed (or tripped on a startup transient) decays below the exit ratio and
-// rejoins, instead of staying frozen out forever because no completions ever
-// update it.
-const probeEvery = 16
-
-func gpuProfile() gpusim.Profile { return gpusim.A100Profile() }
-
-// newHNode builds one node. All nodes share eng (nil eng lets core build its
-// own for the single-node path — behaviorally identical, since a lone device
-// on a fresh engine is exactly the pre-cluster harness).
-func (h *harness) newHNode(id int, eng *sim.Engine) (*hNode, error) {
+// newNode builds node id's stack. The base model is the perturbed oracle,
+// with the optional oracle memo below the noise layer — caching above it
+// would change the noise stream — so reports stay byte-identical cache on or
+// off. Each node draws its own noise stream; node 0 keeps the scenario seed.
+// Cluster runs put every device on one shared engine (h.eng); a single-node
+// run lets the runtime build its own, exactly the pre-cluster harness.
+func (h *harness) newNode(id int) (*hNode, error) {
 	sc := h.sc
-	n := &hNode{id: id}
-	oracle := predictor.LatencyModel(predictor.Oracle{Profile: gpuProfile()})
+	var oracle predictor.LatencyModel = predictor.Oracle{Profile: gpusim.A100Profile()}
 	if sc.PredictCache > 0 {
-		n.memo = predictor.NewMemoized(oracle, sc.PredictCache)
-		oracle = n.memo
+		oracle = predictor.NewMemoized(oracle, sc.PredictCache)
 	}
-	// Distinct noise streams per node; node 0 keeps the scenario seed so
-	// single-node reports are unchanged by the cluster refactor.
-	n.perturb = predictor.NewPerturbed(oracle, 1, 0, sc.Seed+int64(id))
-	var model predictor.LatencyModel = n.perturb
-	if sc.Calib != nil {
-		cc := *sc.Calib
-		// Correction updates move the admitter's memoized solo predictions;
-		// drop them so the next verdict sees the corrected model. n.adm is
-		// assigned below, before any feedback can arrive.
-		cc.OnUpdate = func(int) { n.adm.InvalidateCache() }
-		n.tracker = calib.NewTracker(cc, sc.Models)
-		model = calib.NewCalibrated(n.perturb, n.tracker)
-	}
-	var dev *gpusim.Device
-	if eng != nil {
-		dev = gpusim.New(eng, gpuProfile())
-	}
-	rt, err := core.New(core.Config{
+	n := &hNode{perturb: predictor.NewPerturbed(oracle, 1, 0, sc.Seed+int64(id))}
+	var err error
+	n.Node, err = fleet.NewNode(fleet.Config{
+		ID:        id,
 		Models:    sc.Models,
 		QoSFactor: sc.QoSFactor,
-		Model:     model,
-		Profile:   gpuProfile(),
-		Device:    dev,
+		Base:      n.perturb,
+		QueueCap:  sc.QueueCap,
+		Degrade:   sc.Degrade,
+		Calib:     sc.Calib,
+		Engine:    h.eng,
 		OnResult:  func(q *sched.Query) { h.onResult(n, q) },
 	})
 	if err != nil {
 		return nil, err
 	}
-	n.rt = rt
-	n.adm = admit.New(model, gpuProfile(), rt.Services(), sc.QueueCap, 0.02,
-		admit.NewDegrade(sc.Degrade, len(rt.Services())))
+	if h.eng != nil {
+		// Per-node reports live on the node because an elastic run adds
+		// nodes mid-flight; finalize folds them into rep.Nodes in id order.
+		n.rep = &NodeReport{Node: id, Services: h.serviceRows()}
+	}
 	return n, nil
+}
+
+// serviceRows returns one empty report row per service.
+func (h *harness) serviceRows() []ServiceReport {
+	rows := make([]ServiceReport, len(h.sc.Models))
+	for i, m := range h.sc.Models {
+		rows[i] = ServiceReport{Service: i, Model: m.String(), CalibSlope: 1}
+	}
+	return rows
 }
 
 // Run executes one scenario to completion in virtual time.
@@ -446,37 +419,31 @@ func Run(sc Scenario) (*Report, error) {
 		h.retry = sc.Retry.withDefaults()
 	}
 
-	var shared *sim.Engine
 	if sc.Nodes > 1 || ctrl != nil {
 		// One clock, N devices: every node's runtime shares the engine so
 		// per-node fault windows and cross-node routing are one ordered
 		// event stream. Elastic runs always share, even when they open at a
 		// single node — more can appear.
-		shared = sim.NewEngine()
+		h.eng = sim.NewEngine()
 	}
-	for id := 0; id < sc.Nodes; id++ {
-		n, err := h.newHNode(id, shared)
+	founders := make([]*hNode, sc.Nodes)
+	for id := range founders {
+		n, err := h.newNode(id)
 		if err != nil {
 			return nil, err
 		}
-		if shared != nil {
-			nr := h.newNodeReport(n)
-			if ctrl != nil {
-				nr.Window = &NodeWindow{} // founders open at t=0
-			}
-			n.rep = nr
+		if ctrl != nil {
+			n.rep.Window = &NodeWindow{} // founders open at t=0
 		}
-		h.nodes = append(h.nodes, n)
+		founders[id] = n
 	}
-	h.probes = make([]int64, len(sc.Models))
-	h.eng = h.nodes[0].rt.Engine()
+	h.fleet = fleet.New(len(sc.Models), founders...)
+	node0 := founders[0]
+	h.eng = node0.RT.Engine()
 	if sc.Calib != nil {
-		h.rep.Calibrated = h.nodes[0].tracker.Enabled()
+		h.rep.Calibrated = node0.Tracker.Enabled()
 	}
-	h.rep.Services = make([]ServiceReport, len(sc.Models))
-	for i, svc := range h.nodes[0].rt.Services() {
-		h.rep.Services[i] = ServiceReport{Service: i, Model: svc.Model.String(), CalibSlope: 1}
-	}
+	h.rep.Services = h.serviceRows()
 
 	// Fault windows first, so a window opening at t applies before any
 	// arrival or retry scheduled at the same instant; scale ticks next, so
@@ -506,7 +473,7 @@ func Run(sc Scenario) (*Report, error) {
 	}
 	for i, a := range arrivals {
 		r := &request{idx: i, svc: a.Service, in: a.Input}
-		r.deadline = sim.Time(a.Time) + sim.Time(h.nodes[0].rt.Services()[a.Service].QoS)
+		r.deadline = sim.Time(a.Time) + sim.Time(node0.RT.Services()[a.Service].QoS)
 		at := sim.Time(a.Time)
 		h.eng.ScheduleAt(at, func() { h.attempt(r, at) })
 	}
@@ -524,8 +491,8 @@ func Run(sc Scenario) (*Report, error) {
 // Cluster runs aggregate per-service state across nodes: counters sum,
 // margins and divergences take the worst case.
 func (h *harness) finalize() {
-	for _, n := range h.nodes {
-		st := n.adm.Degrade().Snapshot()
+	for _, n := range h.fleet.Load().Nodes() {
+		st := n.Adm.Degrade().Snapshot()
 		h.rep.DegradeTransitions += st.Transitions
 		h.rep.DegradeShed += st.Shed
 		if st.Divergence > h.rep.FinalDivergence {
@@ -536,7 +503,7 @@ func (h *harness) finalize() {
 			n.rep.DegradeShed = st.Shed
 			n.rep.FinalDivergence = st.Divergence
 		}
-		for i, ds := range n.adm.Degrade().ServiceSnapshots() {
+		for i, ds := range n.Adm.Degrade().ServiceSnapshots() {
 			sr := &h.rep.Services[i]
 			sr.RejectedDegraded += ds.Shed
 			sr.DegradeActive = sr.DegradeActive || ds.Active
@@ -556,8 +523,8 @@ func (h *harness) finalize() {
 				nsr.Margin = ds.Margin
 			}
 		}
-		if n.tracker != nil {
-			for i, cs := range n.tracker.Snapshot().Services {
+		if n.Tracker != nil {
+			for i, cs := range n.Tracker.Snapshot().Services {
 				sr := &h.rep.Services[i]
 				// The cluster-wide view keeps the best-fed replica's fit.
 				if n.rep == nil || cs.Samples > sr.CalibSamples {
@@ -584,10 +551,9 @@ func (h *harness) finalize() {
 	if h.ctrl != nil {
 		h.finalizeAutoscale()
 	}
-	if len(h.nodeReps) > 0 {
-		h.rep.Nodes = make([]NodeReport, len(h.nodeReps))
-		for i, nr := range h.nodeReps {
-			h.rep.Nodes[i] = *nr
+	for _, n := range h.fleet.Load().Nodes() {
+		if n.rep != nil {
+			h.rep.Nodes = append(h.rep.Nodes, *n.rep)
 		}
 	}
 }
@@ -595,9 +561,9 @@ func (h *harness) finalize() {
 // scheduleWindow arms one fault window's open and close events on its
 // target node (node 0 unless the window names one).
 func (h *harness) scheduleWindow(w Window) {
-	n := h.nodes[w.Node]
+	n := h.fleet.Load().Nodes()[w.Node]
 	eng := h.eng
-	dev := n.rt.Device()
+	dev := n.RT.Device()
 	switch w.Kind {
 	case KindGPUThrottle:
 		mem := w.Mem
@@ -618,87 +584,34 @@ func (h *harness) scheduleWindow(w Window) {
 			}
 			eng.ScheduleAt(sim.Time(w.Start), func() {
 				n.perturb.SetModelBias(id, w.Magnitude)
-				n.adm.InvalidateCache()
+				n.Adm.InvalidateCache()
 			})
 			eng.ScheduleAt(sim.Time(w.End), func() {
 				n.perturb.SetModelBias(id, 1)
-				n.adm.InvalidateCache()
+				n.Adm.InvalidateCache()
 			})
 			break
 		}
 		eng.ScheduleAt(sim.Time(w.Start), func() {
 			n.perturb.SetBias(w.Magnitude)
-			n.adm.InvalidateCache()
+			n.Adm.InvalidateCache()
 		})
 		eng.ScheduleAt(sim.Time(w.End), func() {
 			n.perturb.SetBias(1)
-			n.adm.InvalidateCache()
+			n.Adm.InvalidateCache()
 		})
 	case KindPredictorNoise:
 		eng.ScheduleAt(sim.Time(w.Start), func() {
 			n.perturb.SetNoise(w.Magnitude)
-			n.adm.InvalidateCache()
+			n.Adm.InvalidateCache()
 		})
 		eng.ScheduleAt(sim.Time(w.End), func() {
 			n.perturb.SetNoise(0)
-			n.adm.InvalidateCache()
+			n.Adm.InvalidateCache()
 		})
 	}
 	// Request-fault kinds (drop/duplicate/malformed) act per attempt in
 	// attempt(), not via scheduled state changes.
-}
-
-// route picks the serving node for one query over the mutable routable set:
-// the least-loaded eligible node whose drift detector for the service is
-// quiet, except on probe turns, which consider every eligible replica.
-// Draining and retired nodes never take new work; warming nodes are
-// eligible only on probe turns — the warm-up trickle, reusing the same
-// cadence that lets quarantined replicas rejoin. migrated reports that a
-// degraded replica was skipped. Single-node runs route trivially.
-func (h *harness) route(svc int) (n *hNode, migrated bool) {
-	// Every routing decision advances the probe counter, single-node
-	// instants of an elastic run included.
-	h.probes[svc]++
-	probe := h.probes[svc]%probeEvery == 0
-	if len(h.nodes) == 1 {
-		return h.nodes[0], false
-	}
-	base := h.scratchBase[:0]
-	for _, c := range h.nodes {
-		if c.draining || c.retired || (c.warming && !probe) {
-			continue
-		}
-		base = append(base, c)
-	}
-	if len(base) == 0 {
-		// Every active node is mid-drain replacement and it is not a probe
-		// turn: fall back to the warming ones rather than stranding the
-		// query.
-		for _, c := range h.nodes {
-			if !c.draining && !c.retired {
-				base = append(base, c)
-			}
-		}
-	}
-	h.scratchBase = base
-	cand := base
-	if !probe {
-		healthy := h.scratchHealthy[:0]
-		for _, c := range base {
-			if !c.adm.Degrade().Active(svc) {
-				healthy = append(healthy, c)
-			}
-		}
-		h.scratchHealthy = healthy
-		// All-degraded falls back to every eligible node: shedding is the
-		// admitters' job, routing still balances what is left.
-		if len(healthy) > 0 {
-			migrated = len(healthy) < len(base)
-			cand = healthy
-		}
-	}
-	pick := cluster.Pick(len(cand), func(i int) float64 { return cand[i].adm.BacklogMS() })
-	return cand[pick], migrated
 }
 
 // attempt plays one client send at virtual time now.
@@ -734,8 +647,9 @@ func (h *harness) attempt(r *request, now sim.Time) {
 		h.rep.GaveUp++
 		return
 	}
-	n, migrated := h.route(r.svc)
-	d := n.adm.Decide(now, r.svc, r.in, sloMS)
+	p := h.fleet.Route(r.svc, -1)
+	n := p.Node
+	d := n.Adm.Decide(now, p.Local, r.in, sloMS)
 	if !d.OK {
 		switch d.Reason {
 		case admit.ReasonQueueFull:
@@ -755,14 +669,14 @@ func (h *harness) attempt(r *request, now sim.Time) {
 		n.rep.Admitted++
 		n.rep.Routed++
 		n.rep.Services[r.svc].Admitted++
-		if migrated {
+		if p.Migrated {
 			n.rep.MigratedIn++
 			h.rep.Migrations++
 		}
 	}
-	n.adm.Admitted(r.svc, d.WorkMS)
+	n.Admitted(p.Local, d.WorkMS)
 	n.inflight++
-	q := n.rt.SubmitSLO(r.svc, r.in, now, sloMS)
+	q := n.RT.SubmitSLO(p.Local, r.in, now, sloMS)
 	h.pending[q] = &pend{predMS: d.PredMS, workMS: d.WorkMS}
 
 	// A duplicated request hits the gateway's idempotency layer and is
@@ -811,49 +725,39 @@ func (h *harness) onResult(n *hNode, q *sched.Query) {
 	}
 	delete(h.pending, q)
 	n.inflight--
-	if n.draining && !n.retired && n.inflight == 0 {
+	if n.inflight == 0 && h.fleet.Load().Phase(n.ID) == scaler.Draining {
 		// Last in-flight query resolved: graceful drain completes, the node
 		// retires at this exact virtual instant.
 		h.retireNode(n, h.eng.Now())
 	}
 	svc := q.Service.ID
+	out := n.Finish(q, p.predMS, p.workMS)
+	if out != fleet.Dropped {
+		h.lats = append(h.lats, q.Latency())
+	}
 	sr := &h.rep.Services[svc]
-	n.adm.Finish(svc, p.workMS)
-	n.adm.Degrade().Observe(svc, p.predMS, q.Latency())
-	if n.tracker != nil {
-		n.tracker.ObserveAdmission(svc, p.workMS, p.predMS-p.workMS, q.Latency())
-	}
-	if q.Dropped {
-		h.rep.Dropped++
-		sr.Dropped++
-		if n.rep != nil {
-			n.rep.Dropped++
-			n.rep.Services[svc].Dropped++
-		}
-		return
-	}
-	h.rep.Completed++
-	sr.Completed++
+	book(out, &h.rep.Completed, &h.rep.Good, &h.rep.Violated, &h.rep.Dropped)
+	book(out, &sr.Completed, &sr.Good, &sr.Violated, &sr.Dropped)
 	if n.rep != nil {
-		n.rep.Completed++
-		n.rep.Services[svc].Completed++
+		nsr := &n.rep.Services[svc]
+		book(out, &n.rep.Completed, &n.rep.Good, &n.rep.Violated, &n.rep.Dropped)
+		book(out, &nsr.Completed, &nsr.Good, &nsr.Violated, &nsr.Dropped)
 	}
-	h.lats = append(h.lats, q.Latency())
-	if q.Violated() {
-		h.rep.Violated++
-		sr.Violated++
-		if n.rep != nil {
-			n.rep.Violated++
-			n.rep.Services[svc].Violated++
-		}
-	} else {
-		h.rep.Good++
-		sr.Good++
-		if n.rep != nil {
-			n.rep.Good++
-			n.rep.Services[svc].Good++
-		}
+}
+
+// book counts one outcome into a report row: a dropped query is not
+// completed, a completed one is either good or violated.
+func book(out fleet.Outcome, completed, good, violated, dropped *int64) {
+	switch out {
+	case fleet.Dropped:
+		*dropped++
+		return
+	case fleet.Violated:
+		*violated++
+	default:
+		*good++
 	}
+	*completed++
 }
 
 // coin returns a deterministic uniform draw in [0, 1) keyed by (seed,

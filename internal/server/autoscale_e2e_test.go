@@ -212,9 +212,9 @@ func TestAutoscaleConfigValidation(t *testing.T) {
 	if s.NumNodes() != 2 {
 		t.Errorf("MinNodes 2 built %d founders", s.NumNodes())
 	}
-	for _, n := range s.nodes {
-		if len(n.models) != len(ok.Models) {
-			t.Errorf("founder %d hosts %d models, want the full replicated set", n.id, len(n.models))
+	for _, n := range s.fleet.Load().Nodes() {
+		if len(n.Models) != len(ok.Models) {
+			t.Errorf("founder %d hosts %d models, want the full replicated set", n.ID, len(n.Models))
 		}
 	}
 }

@@ -1,36 +1,25 @@
 package server
 
 import (
-	"math"
 	"sync"
-	"sync/atomic"
 
 	"abacus/internal/admit"
-	"abacus/internal/calib"
-	"abacus/internal/core"
 	"abacus/internal/dnn"
-	"abacus/internal/gpusim"
-	"abacus/internal/predictor"
+	"abacus/internal/fleet"
 	"abacus/internal/realtime"
 	"abacus/internal/sched"
 	"abacus/internal/trace"
 )
 
-// node is one per-GPU serving engine behind the gateway: its own simulated
-// device and Abacus runtime, realtime bridge, admission controller, predict
-// cache, and calibration tracker. Every non-atomic field is owned by the
-// node's bridge loop goroutine; the router on handler goroutines reads only
-// the published mirrors (load, degraded).
+// node is one per-GPU serving engine behind the gateway: the shared
+// fleet stack (device, Abacus runtime, admission controller, predict cache,
+// calibration tracker, router mirrors) driven in wall-clock time by a
+// realtime bridge, plus the gateway's idempotency state and admission
+// mailbox. Every non-atomic field is owned by the node's bridge loop
+// goroutine.
 type node struct {
-	id     int
-	models []dnn.ModelID // hosted models, in node-local service order
-	global []int         // local service index → gateway service index
-
-	rt      *core.Runtime
-	bridge  *realtime.Bridge
-	adm     *admit.Admitter
-	memo    *predictor.Memoized // nil when the predict cache is off
-	tracker *calib.Tracker      // nil when calibration is off
+	*fleet.Node
+	bridge *realtime.Bridge
 
 	pending    map[*sched.Query]*pending
 	byID       map[string]*pending
@@ -38,16 +27,6 @@ type node struct {
 	duplicates int64
 	routed     int64 // queries the router sent here
 	migratedIn int64 // routed here while a degraded sibling also hosted the service
-
-	// Router-visible mirrors, published from the loop goroutine after every
-	// admission-state change.
-	loadMS   atomic.Uint64 // predicted backlog, float64 bits
-	degraded []atomic.Bool // per-local-service drift detector state
-
-	// unroutable flips once the autoscaler starts draining the node: the
-	// router stops picking it and sticky RequestIDs remap to live replicas.
-	// Never set on fixed fleets.
-	unroutable atomic.Bool
 
 	// Admission mailbox: handler goroutines enqueue admitMsgs here and a
 	// per-node combiner goroutine (admitLoop, started by Server.Start) flows
@@ -97,68 +76,37 @@ func putAdmitMsg(m *admitMsg) {
 }
 
 // newNode builds one node hosting the given model subset. global maps the
-// node-local service order onto gateway service indices; onResult receives
-// every finished query on the node's loop; onEvict fires when a completed
-// request ID ages out of the node's idempotency cache.
+// node-local service order onto gateway service indices (nil: every model in
+// order); onResult receives every finished query on the node's loop;
+// onEvict fires when a completed request ID ages out of the node's
+// idempotency cache.
 func newNode(cfg Config, id int, models []dnn.ModelID, global []int,
 	onResult func(*node, *sched.Query), onEvict func(string)) (*node, error) {
 	n := &node{
-		id:       id,
-		models:   models,
-		global:   global,
 		pending:  make(map[*sched.Query]*pending),
 		byID:     make(map[string]*pending),
 		recent:   newOutcomeCache(cfg.DedupeWindow, onEvict),
-		degraded: make([]atomic.Bool, len(models)),
 		mboxWake: make(chan struct{}, 1),
 	}
-	profile := gpusim.A100Profile()
-	model := cfg.Model
-	if model == nil {
-		model = predictor.Oracle{Profile: profile}
-	}
-	if cfg.Calib != nil {
-		cc := *cfg.Calib
-		// A refit moves exactly one service's correction, so only that
-		// service's memoized solo predictions and the group signatures its
-		// model appears in go stale — the per-service cache generation.
-		// n.adm and n.memo are assigned below, before the bridge starts
-		// delivering feedback.
-		cc.OnUpdate = func(local int) {
-			n.adm.InvalidateService(local)
-			if n.memo != nil {
-				n.memo.InvalidateModel(n.models[local])
-			}
-		}
-		n.tracker = calib.NewTracker(cc, models)
-		model = calib.NewCalibrated(model, n.tracker)
-	}
-	if cfg.PredictCache > 0 {
-		// The memo sits above calibration so cached values are corrected
-		// predictions; refits invalidate per model via OnUpdate above.
-		n.memo = predictor.NewMemoized(model, cfg.PredictCache)
-		model = n.memo
-	}
-	rt, err := core.New(core.Config{
-		Models:    models,
-		QoSFactor: cfg.QoSFactor,
-		Model:     model,
-		Profile:   profile,
-		Sched:     cfg.Sched,
-		SyncCost:  cfg.SyncCost,
-		OnResult:  func(q *sched.Query) { onResult(n, q) },
+	var err error
+	n.Node, err = fleet.NewNode(fleet.Config{
+		ID:           id,
+		Models:       models,
+		Global:       global,
+		QoSFactor:    cfg.QoSFactor,
+		Base:         cfg.Model,
+		Sched:        cfg.Sched,
+		SyncCost:     cfg.SyncCost,
+		QueueCap:     cfg.QueueCap,
+		Degrade:      cfg.Degrade,
+		Calib:        cfg.Calib,
+		PredictCache: cfg.PredictCache,
+		OnResult:     func(q *sched.Query) { onResult(n, q) },
 	})
 	if err != nil {
 		return nil, err
 	}
-	n.rt = rt
-	n.bridge = realtime.New(rt.Engine(), cfg.Speedup)
-	syncCost := cfg.SyncCost
-	if syncCost == 0 {
-		syncCost = 0.02
-	}
-	n.adm = admit.New(model, rt.Device().Profile(), rt.Services(), cfg.QueueCap, syncCost,
-		admit.NewDegrade(cfg.Degrade, len(models)))
+	n.bridge = realtime.New(n.RT.Engine(), cfg.Speedup)
 	return n, nil
 }
 
@@ -273,15 +221,15 @@ func (n *node) admitOne(s *Server, m *admitMsg) {
 			return
 		}
 	}
-	now := n.rt.Engine().Now()
+	now := n.RT.Engine().Now()
 	if s.cfg.Capture != nil {
 		s.cfg.Capture.Record(trace.Arrival{Time: float64(now), Service: m.global, Input: m.in})
 	}
-	m.d = n.adm.Decide(now, m.svc, m.in, m.deadlineMS)
+	m.d = n.Adm.Decide(now, m.svc, m.in, m.deadlineMS)
 	if !m.d.OK {
 		return
 	}
-	q := n.rt.SubmitSLO(m.svc, m.in, now, m.deadlineMS)
+	q := n.RT.SubmitSLO(m.svc, m.in, now, m.deadlineMS)
 	p := &pending{
 		q:      q,
 		id:     m.requestID,
@@ -293,23 +241,10 @@ func (n *node) admitOne(s *Server, m *admitMsg) {
 	if m.requestID != "" {
 		n.byID[m.requestID] = p
 	}
-	n.adm.Admitted(m.svc, m.d.WorkMS)
+	n.Admitted(m.svc, m.d.WorkMS)
 	n.routed++
 	if m.migrated {
 		n.migratedIn++
 	}
-	n.publish()
 	m.pend = p
 }
-
-// publish refreshes the router-visible mirrors. Call from the loop goroutine
-// after any change to admission state.
-func (n *node) publish() {
-	n.loadMS.Store(math.Float64bits(n.adm.BacklogMS()))
-	for i := range n.degraded {
-		n.degraded[i].Store(n.adm.Degrade().Active(i))
-	}
-}
-
-// load returns the last published predicted backlog (any goroutine).
-func (n *node) load() float64 { return math.Float64frombits(n.loadMS.Load()) }

@@ -7,53 +7,21 @@
 // drain (unroutable → in-flight finishes → bridge retires → terminal stats
 // snapshot kept under /statz retired_nodes).
 //
-// The router never locks: it reads an immutable elasticFleet snapshot behind
-// an atomic pointer, replaced copy-on-write under scaleMu by the control
-// loop. With Config.Autoscale nil none of this runs and the gateway is
-// byte-identical to the fixed-fleet build.
+// The router never locks: it reads the fleet's immutable snapshot, which the
+// control loop replaces copy-on-write under scaleMu. With Config.Autoscale
+// nil the loop exits at once and the snapshot is never replaced.
 
 package server
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
-	"abacus/internal/cluster"
 	"abacus/internal/scaler"
 )
 
 // drainPoll is how often a draining node is checked for quiescence.
 const drainPoll = 5 * time.Millisecond
-
-// elasticFleet is one immutable snapshot of the elastic node set. all is
-// id-indexed and append-only across snapshots; the phase slices partition
-// the live nodes. Retired nodes appear only in all.
-type elasticFleet struct {
-	all      []*node
-	active   []*node
-	warming  []*node
-	draining []*node
-}
-
-func (f *elasticFleet) clone() *elasticFleet {
-	return &elasticFleet{
-		all:      append([]*node(nil), f.all...),
-		active:   append([]*node(nil), f.active...),
-		warming:  append([]*node(nil), f.warming...),
-		draining: append([]*node(nil), f.draining...),
-	}
-}
-
-func remove(set []*node, n *node) []*node {
-	out := set[:0]
-	for _, m := range set {
-		if m != n {
-			out = append(out, m)
-		}
-	}
-	return out
-}
 
 // nowMS is the gateway's shared virtual clock: wall time since the anchor
 // epoch scaled by the pacing factor — the same discipline every node bridge
@@ -64,9 +32,12 @@ func (s *Server) nowMS() float64 {
 
 // scaleLoop is the control loop: every controller interval (in wall terms)
 // it swaps out the offered-arrival counter, lets the controller decide, and
-// applies the advice. Runs until Drain.
+// applies the advice. Runs until Drain; a fixed fleet has no loop.
 func (s *Server) scaleLoop() {
-	defer close(s.scaleDone)
+	defer s.scaleWG.Done()
+	if s.ctrl == nil {
+		return
+	}
 	cfg := s.ctrl.Config()
 	interval := time.Duration(cfg.IntervalMS / s.cfg.Speedup * float64(time.Millisecond))
 	if interval <= 0 {
@@ -84,30 +55,7 @@ func (s *Server) scaleLoop() {
 
 		s.scaleMu.Lock()
 		adv := s.ctrl.Tick(s.nowMS(), qps)
-		fl := s.fleet.Load()
-		next := fl.clone()
-		for _, id := range adv.Promote {
-			n := next.all[id]
-			next.warming = remove(next.warming, n)
-			next.active = append(next.active, n)
-		}
-		var added []*node
-		for _, id := range adv.Add {
-			n := s.buildNode(id)
-			added = append(added, n)
-			next.all = append(next.all, n)
-			next.warming = append(next.warming, n)
-		}
-		var drains []*node
-		for _, id := range adv.Drain {
-			n := next.all[id]
-			n.unroutable.Store(true)
-			next.active = remove(next.active, n)
-			next.warming = remove(next.warming, n)
-			next.draining = append(next.draining, n)
-			drains = append(drains, n)
-		}
-		s.fleet.Store(next)
+		added, drains := s.fleet.Apply(adv, s.buildNode)
 		s.scaleMu.Unlock()
 
 		// Bridges start outside the lock: an epoch in the past fast-forwards
@@ -126,11 +74,7 @@ func (s *Server) scaleLoop() {
 // buildNode provisions one replicated node mid-flight. The founders were
 // built from the same configuration, so a failure here is a gateway bug.
 func (s *Server) buildNode(id int) *node {
-	global := make([]int, len(s.cfg.Models))
-	for i := range global {
-		global[i] = i
-	}
-	n, err := newNode(s.cfg, id, s.cfg.Models, global, s.onResult,
+	n, err := newNode(s.cfg, id, s.cfg.Models, nil, s.onResult,
 		func(evicted string) { s.routes.Delete(evicted) })
 	if err != nil {
 		panic(fmt.Sprintf("server: autoscale adding node %d: %v", id, err))
@@ -164,66 +108,9 @@ func (s *Server) completeDrain(n *node) {
 	}
 	s.scaleMu.Lock()
 	s.retiredSt = append(s.retiredSt, st)
-	fl := s.fleet.Load()
-	next := fl.clone()
-	next.draining = remove(next.draining, n)
-	s.fleet.Store(next)
-	s.ctrl.Retire(n.id, s.nowMS())
+	s.fleet.Retire(n.ID)
+	s.ctrl.Retire(n.ID, s.nowMS())
 	s.scaleMu.Unlock()
-}
-
-// routeElastic picks the serving node over the mutable fleet. Sticky
-// RequestIDs keep landing on their owner until it drains away, at which
-// point the stale pin is dropped and the query remaps to a live replica.
-// Warming nodes receive only the probe trickle (every probeEvery-th
-// decision per service — the same cadence that re-feeds quarantined
-// replicas), so a cold node's calibration and drift trackers see real
-// traffic without the router betting real load on an unwarmed stack.
-func (s *Server) routeElastic(svc int, requestID string) (n *node, local int, migrated bool) {
-	fl := s.fleet.Load()
-	if requestID != "" {
-		if v, ok := s.routes.Load(requestID); ok {
-			if id := v.(int); id < len(fl.all) && !fl.all[id].unroutable.Load() {
-				return fl.all[id], svc, false
-			}
-			// The owner drained away: drop the stale pin so this attempt and
-			// future retries remap.
-			s.routes.Delete(requestID)
-		}
-	}
-	probe := s.probes[svc].Add(1)%probeEvery == 0
-	cand := fl.active
-	switch {
-	case probe:
-		// Probe turns skip both filters: warming nodes and degraded
-		// replicas get their trickle.
-		if len(fl.warming) > 0 {
-			merged := make([]*node, 0, len(fl.active)+len(fl.warming))
-			merged = append(merged, fl.active...)
-			merged = append(merged, fl.warming...)
-			cand = merged
-		}
-	case len(cand) > 1:
-		healthy := make([]*node, 0, len(cand))
-		for _, m := range cand {
-			if !m.degraded[svc].Load() {
-				healthy = append(healthy, m)
-			}
-		}
-		// All-degraded falls back to every active replica: shedding is the
-		// admitters' job, routing still balances what is left.
-		if len(healthy) > 0 {
-			migrated = len(healthy) < len(cand)
-			cand = healthy
-		}
-	}
-	if len(cand) == 0 {
-		// No active replicas (a warming-only instant mid-scale): route to
-		// warming nodes rather than nowhere.
-		cand = fl.warming
-	}
-	pick := cluster.Pick(len(cand), func(i int) float64 { return cand[i].load() })
-	return cand[pick], svc, migrated
 }
 
 // AutoscaleStatz is the /statz autoscale block: the controller's live view
@@ -251,37 +138,11 @@ type AutoscaleStatz struct {
 	LastReason     string  `json:"last_reason,omitempty"`
 }
 
-// autoscaleStatz snapshots the controller and the live fleet under scaleMu.
-// It returns the live nodes (sorted by id) with their phases, the autoscale
-// block, and a copy of the terminal snapshots of retired nodes.
-func (s *Server) autoscaleStatz() (live []*node, phases []string, as *AutoscaleStatz, retired []NodeStatz) {
-	s.scaleMu.Lock()
-	defer s.scaleMu.Unlock()
-	fl := s.fleet.Load()
-	phase := make(map[*node]string, len(fl.all))
-	for _, n := range fl.active {
-		phase[n] = scaler.Active.String()
-	}
-	for _, n := range fl.warming {
-		phase[n] = scaler.Warming.String()
-	}
-	for _, n := range fl.draining {
-		phase[n] = scaler.Draining.String()
-	}
-	for _, n := range fl.all {
-		if _, ok := phase[n]; ok {
-			live = append(live, n)
-		}
-	}
-	sort.Slice(live, func(i, j int) bool { return live[i].id < live[j].id })
-	phases = make([]string, len(live))
-	for i, n := range live {
-		phases[i] = phase[n]
-	}
-
+// autoscaleStatz snapshots the controller; the caller holds scaleMu.
+func (s *Server) autoscaleStatz() *AutoscaleStatz {
 	snap := s.ctrl.Snapshot(s.nowMS())
 	cfg := s.ctrl.Config()
-	as = &AutoscaleStatz{
+	return &AutoscaleStatz{
 		MinNodes:       cfg.MinNodes,
 		MaxNodes:       cfg.MaxNodes,
 		IntervalMS:     cfg.IntervalMS,
@@ -303,6 +164,4 @@ func (s *Server) autoscaleStatz() (live []*node, phases []string, as *AutoscaleS
 		ForecastQPS:    snap.Forecast,
 		LastReason:     snap.Last.Reason,
 	}
-	retired = append([]NodeStatz(nil), s.retiredSt...)
-	return live, phases, as, retired
 }

@@ -13,13 +13,14 @@
 // size caps and read timeouts against malformed and slow-loris clients,
 // and fault/retry counters on /statz and /metrics.
 //
-// Sharded serving (PR 6): the gateway fronts N per-GPU nodes, each a full
-// engine + bridge + admitter + calibration stack (see node.go). Placement
-// seeds from the §7.8 overlap-gain grouping unless pinned explicitly; the
-// router sends each query to the least-loaded healthy node hosting its
-// model, migrating away from nodes whose per-service drift detector has
-// tripped. RequestID routes are sticky so duplicate suppression keeps
-// working across retries.
+// Sharded serving (PR 6): the gateway fronts N per-GPU nodes, each an
+// internal/fleet node stack (engine, admitter, calibration) driven by its
+// own wall-clock bridge (see node.go). Placement seeds from the §7.8
+// overlap-gain grouping unless pinned explicitly; the fleet router — the
+// same one the chaos harness runs — sends each query to the least-loaded
+// healthy node hosting its model, migrating away from nodes whose
+// per-service drift detector has tripped. RequestID routes are sticky so
+// duplicate suppression keeps working across retries.
 package server
 
 import (
@@ -37,9 +38,9 @@ import (
 	"abacus/internal/admit"
 	"abacus/internal/autoscale"
 	"abacus/internal/calib"
-	"abacus/internal/cluster"
 	"abacus/internal/core"
 	"abacus/internal/dnn"
+	"abacus/internal/fleet"
 	"abacus/internal/gpusim"
 	"abacus/internal/predictor"
 	"abacus/internal/realtime"
@@ -137,25 +138,14 @@ type Config struct {
 	StatShards int
 }
 
-// hostRef locates one replica of a service: the hosting node and the
-// service's node-local index there.
-type hostRef struct {
-	node  int
-	local int
-}
-
-// probeEvery is the quarantine-probe cadence: every Nth routing decision per
-// service considers degraded replicas too (see route).
-const probeEvery = 16
-
 // Server is the gateway. Construct with New, then Start before serving its
 // Handler; Drain (or Shutdown) ends its life cycle.
 type Server struct {
-	cfg       Config
-	nodes     []*node
-	hosts     [][]hostRef    // global service index → hosting nodes
+	cfg Config
+	// fleet holds every node ever built, its lifecycle phase, and the
+	// router. A fixed fleet's snapshot is never replaced.
+	fleet     *fleet.Fleet[*node]
 	qos       []float64      // global service index → QoS target (ms)
-	probes    []atomic.Int64 // global service index → routing decisions, drives quarantine probes
 	byName    map[string]int // model name → global service index
 	modelName []string       // global service index → canonical name (response echo without alloc)
 	mux       *http.ServeMux
@@ -181,16 +171,16 @@ type Server struct {
 	svc    []*svcStats
 
 	// Elastic-autoscale state (see scale.go); ctrl is nil when Autoscale is
-	// off and none of the rest is touched. The controller itself is not
-	// goroutine-safe: every use sits under scaleMu. epoch is written once in
-	// Start before any scaling goroutine exists.
+	// off, and then the control loop exits at once. The controller itself is
+	// not goroutine-safe: every use sits under scaleMu, which also
+	// serializes fleet snapshot replacement. epoch is written once in Start
+	// before any scaling goroutine exists.
 	ctrl      *scaler.Controller
 	scaleMu   sync.Mutex
-	fleet     atomic.Pointer[elasticFleet]
 	epoch     time.Time
 	arrivals  atomic.Int64 // offered queries since the last control tick
 	scaleStop chan struct{}
-	scaleDone chan struct{}
+	scaleWG   sync.WaitGroup
 	stopScale sync.Once
 	retiredSt []NodeStatz // terminal snapshots of retired nodes
 }
@@ -257,10 +247,7 @@ type svcStats struct {
 	rejectedQueue    int64
 	rejectedDraining int64
 	rejectedDegraded int64
-	completed        int64
-	dropped          int64
-	violated         int64
-	good             int64
+	outcomes         [3]int64 // indexed by fleet.Outcome
 	latSum           float64
 	lats             latWindow
 }
@@ -291,22 +278,24 @@ func (w *latWindow) snapshot() []float64 {
 
 // placement resolves the node → hosted-models assignment. The single-node
 // default hosts cfg.Models verbatim, keeping the sharded gateway
-// behaviorally identical to the single-engine one. Multi-node defaults seed
-// from the §7.8 overlap-gain grouping and replicate groups round-robin, so
-// every service has at least one migration target when nodes outnumber
-// groups.
+// behaviorally identical to the single-engine one. Elastic fleets are
+// uniform: every node (founder or added later) hosts every model, so any
+// replica can absorb any query when a sibling drains away. Other multi-node
+// defaults seed from the §7.8 overlap-gain grouping and replicate groups
+// round-robin, so every service has at least one migration target when
+// nodes outnumber groups.
 func placement(cfg Config, profile gpusim.Profile) [][]dnn.ModelID {
 	if cfg.Placement != nil {
 		return cfg.Placement
 	}
-	if cfg.Nodes == 1 {
-		return [][]dnn.ModelID{cfg.Models}
+	groups := [][]dnn.ModelID{cfg.Models}
+	if cfg.Nodes > 1 && cfg.Autoscale == nil {
+		groupSize := (len(cfg.Models) + cfg.Nodes - 1) / cfg.Nodes
+		if groupSize > predictor.MaxCoLocated {
+			groupSize = predictor.MaxCoLocated
+		}
+		groups = autoscale.GroupServices(cfg.Models, groupSize, profile)
 	}
-	groupSize := (len(cfg.Models) + cfg.Nodes - 1) / cfg.Nodes
-	if groupSize > predictor.MaxCoLocated {
-		groupSize = predictor.MaxCoLocated
-	}
-	groups := autoscale.GroupServices(cfg.Models, groupSize, profile)
 	out := make([][]dnn.ModelID, cfg.Nodes)
 	for i := range out {
 		out[i] = groups[i%len(groups)]
@@ -395,18 +384,8 @@ func New(cfg Config) (*Server, error) {
 	}
 
 	place := placement(cfg, gpusim.A100Profile())
-	if ctrl != nil {
-		// Elastic fleets are uniform: every node (founder or added later)
-		// hosts every model, so any replica can absorb any query when a
-		// sibling drains away.
-		place = make([][]dnn.ModelID, cfg.Nodes)
-		for i := range place {
-			place[i] = cfg.Models
-		}
-	}
-	s.hosts = make([][]hostRef, len(cfg.Models))
 	s.qos = make([]float64, len(cfg.Models))
-	s.probes = make([]atomic.Int64, len(cfg.Models))
+	var nodes []*node
 	for id, models := range place {
 		if len(models) == 0 {
 			return nil, fmt.Errorf("server: node %d hosts no models", id)
@@ -427,28 +406,27 @@ func New(cfg Config) (*Server, error) {
 			}
 			seen[m] = true
 			global[local] = g
-			s.hosts[g] = append(s.hosts[g], hostRef{node: id, local: local})
 		}
 		n, err := newNode(cfg, id, models, global, s.onResult,
 			func(evicted string) { s.routes.Delete(evicted) })
 		if err != nil {
 			return nil, err
 		}
-		s.nodes = append(s.nodes, n)
+		for local, g := range global {
+			if s.qos[g] == 0 {
+				s.qos[g] = n.RT.Services()[local].QoS
+			}
+		}
+		nodes = append(nodes, n)
 	}
-	for g, refs := range s.hosts {
-		if len(refs) == 0 {
+	for g, qos := range s.qos {
+		if qos == 0 {
 			return nil, fmt.Errorf("server: model %s hosted by no node", cfg.Models[g])
 		}
-		r := refs[0]
-		s.qos[g] = s.nodes[r.node].rt.Services()[r.local].QoS
 	}
-
+	s.fleet = fleet.New(len(cfg.Models), nodes...)
 	s.ctrl = ctrl
-	if ctrl != nil {
-		s.scaleStop = make(chan struct{})
-		s.scaleDone = make(chan struct{})
-	}
+	s.scaleStop = make(chan struct{})
 
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v1/infer", s.handleInfer)
@@ -459,10 +437,11 @@ func New(cfg Config) (*Server, error) {
 }
 
 // Runtime returns node 0's Abacus runtime (tests and diagnostics).
-func (s *Server) Runtime() *core.Runtime { return s.nodes[0].rt }
+func (s *Server) Runtime() *core.Runtime { return s.fleet.Load().Nodes()[0].RT }
 
-// NumNodes returns how many serving nodes back the gateway.
-func (s *Server) NumNodes() int { return len(s.nodes) }
+// NumNodes returns how many serving nodes the gateway has built (under
+// autoscale, retired ones included).
+func (s *Server) NumNodes() int { return len(s.fleet.Load().Nodes()) }
 
 // Handler returns the gateway's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
@@ -472,15 +451,12 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // admission combiner. Call once, before serving traffic.
 func (s *Server) Start() {
 	s.epoch = time.Now()
-	for _, n := range s.nodes {
+	for _, n := range s.fleet.Load().Nodes() {
 		n.bridge.StartAnchored(s.epoch)
 		go n.admitLoop(s)
 	}
-	if s.ctrl != nil {
-		founders := append([]*node(nil), s.nodes...)
-		s.fleet.Store(&elasticFleet{all: founders, active: founders})
-		go s.scaleLoop()
-	}
+	s.scaleWG.Add(1)
+	go s.scaleLoop()
 }
 
 // Draining reports whether the gateway has stopped admitting work.
@@ -493,17 +469,12 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // their callers.
 func (s *Server) Drain() {
 	s.draining.Store(true)
-	nodes := s.nodes
-	if s.ctrl != nil {
-		// Stop the control loop first so no node is added or drained while
-		// the gateway shuts down; then drain every node ever built (retired
-		// bridges answer ErrStopped, which is fine).
-		s.stopScale.Do(func() {
-			close(s.scaleStop)
-			<-s.scaleDone
-		})
-		nodes = s.fleet.Load().all
-	}
+	// Stop the control loop first so no node is added or drained while the
+	// gateway shuts down; then drain every node ever built (retired bridges
+	// answer ErrStopped, which is fine).
+	s.stopScale.Do(func() { close(s.scaleStop) })
+	s.scaleWG.Wait()
+	nodes := s.fleet.Load().Nodes()
 	// Flush completes all admitted queries immediately in virtual time; the
 	// sinks close their done channels, unblocking every waiting handler.
 	// ErrStopped just means a previous Drain already won.
@@ -573,34 +544,17 @@ func (s *Server) onResult(n *node, q *sched.Query) {
 		delete(n.byID, p.id)
 		n.recent.add(p.id, p)
 	}
-	local := q.Service.ID
-	n.adm.Finish(local, p.workMS)
-	// Feed the divergence tracker the margin-free prediction against what
-	// actually happened; drops observe too (a drop is divergence at its
-	// loudest). The calibration tracker sees the same completion split into
-	// solo work and backlog, and keeps only near-uncontended samples.
-	n.adm.Degrade().Observe(local, p.predMS, q.Latency())
-	if n.tracker != nil {
-		n.tracker.ObserveAdmission(local, p.workMS, p.predMS-p.workMS, q.Latency())
-	}
-	n.publish()
+	out := n.Finish(q, p.predMS, p.workMS)
 
-	g := n.global[local]
+	g := n.Global[q.Service.ID]
 	mu := s.statLock(g)
 	mu.Lock()
 	st := s.svc[g]
-	if q.Dropped {
-		st.dropped++
-	} else {
-		st.completed++
+	st.outcomes[out]++
+	if out != fleet.Dropped {
 		lat := q.Latency()
 		st.latSum += lat
 		st.lats.add(lat)
-		if q.Violated() {
-			st.violated++
-		} else {
-			st.good++
-		}
 	}
 	mu.Unlock()
 
@@ -646,63 +600,6 @@ func (s *Server) respondFinished(w http.ResponseWriter, sc *inferScratch, resp *
 	resp.LatencyMS = q.Latency()
 	resp.Violated = q.Violated()
 	writeInfer(w, sc, http.StatusOK, resp)
-}
-
-// localOn returns the node-local service index of global service svc on
-// node id, if that node hosts it.
-func (s *Server) localOn(svc, id int) (int, bool) {
-	for _, r := range s.hosts[svc] {
-		if r.node == id {
-			return r.local, true
-		}
-	}
-	return 0, false
-}
-
-// route picks the serving node for one query of global service svc:
-// the sticky node when the RequestID has been seen, otherwise the
-// least-loaded healthy replica. migrated reports that a degraded replica
-// was skipped — the fault-driven migration the chaos suite pins.
-func (s *Server) route(svc int, requestID string) (n *node, local int, migrated bool) {
-	if s.ctrl != nil {
-		return s.routeElastic(svc, requestID)
-	}
-	if requestID != "" {
-		if v, ok := s.routes.Load(requestID); ok {
-			if l, hosts := s.localOn(svc, v.(int)); hosts {
-				return s.nodes[v.(int)], l, false
-			}
-		}
-	}
-	refs := s.hosts[svc]
-	cand := refs
-	// Every probeEvery-th decision per service skips the health filter so a
-	// quarantined replica keeps receiving a trickle of traffic: its drift
-	// EWMA then tracks reality and a replica that healed (or tripped on a
-	// startup transient) decays below the exit ratio and rejoins, instead
-	// of staying frozen out because no completions ever update it.
-	// Every routing decision advances the probe counter.
-	if s.probes[svc].Add(1)%probeEvery != 0 && len(refs) > 1 {
-		healthy := make([]hostRef, 0, len(refs))
-		for _, r := range refs {
-			if !s.nodes[r.node].degraded[r.local].Load() {
-				healthy = append(healthy, r)
-			}
-		}
-		// All-degraded falls back to every replica: shedding is the
-		// admitters' job, routing still balances what is left.
-		if len(healthy) > 0 {
-			migrated = len(healthy) < len(refs)
-			cand = healthy
-		}
-	}
-	idx := make([]int, len(cand))
-	for i := range cand {
-		idx[i] = i
-	}
-	pick := cluster.LeastLoaded(idx, func(i int) float64 { return s.nodes[cand[i].node].load() })
-	r := cand[pick]
-	return s.nodes[r.node], r.local, migrated
 }
 
 // handleInfer routes, admits, submits, and answers one query. The whole
@@ -759,32 +656,39 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		writeInfer(w, sc, http.StatusServiceUnavailable, &resp)
 		return
 	}
-	if s.ctrl != nil {
-		// Offered load for the control loop: every valid, non-draining
-		// arrival counts, whatever admission later decides.
-		s.arrivals.Add(1)
-	}
+	// Offered load for the control loop: every valid, non-draining arrival
+	// counts, whatever admission later decides.
+	s.arrivals.Add(1)
 
-	n, local, migrated := s.route(svcIdx, requestID)
+	// RequestID routes are sticky, so retries land where the idempotency
+	// caches live; a pin to a node that no longer routes the service is
+	// dropped and the query remaps.
+	owner := -1
+	if requestID != "" {
+		if v, ok := s.routes.Load(requestID); ok {
+			owner = v.(int)
+		}
+	}
+	p := s.fleet.Route(svcIdx, owner)
+	if owner >= 0 && !p.Sticky {
+		s.routes.Delete(requestID)
+	}
+	n, local, migrated := p.Node, p.Local, p.Migrated
 	storedRoute := false
 	if requestID != "" {
 		// Pin the ID to one node before admission so concurrent duplicates
 		// serialize on a single loop, where byID/recent can suppress them.
-		if v, loaded := s.routes.LoadOrStore(requestID, n.id); !loaded {
+		if v, loaded := s.routes.LoadOrStore(requestID, n.ID); !loaded {
 			storedRoute = true
-		} else if owner := v.(int); owner != n.id {
-			if s.ctrl != nil {
-				// A concurrent duplicate pinned the ID elsewhere; follow it
-				// while the owner is routable, otherwise re-pin to the
-				// replica we picked (best-effort, like the static path).
-				if fl := s.fleet.Load(); owner < len(fl.all) && !fl.all[owner].unroutable.Load() {
-					n, local, migrated = fl.all[owner], svcIdx, false
-				} else {
-					s.routes.Store(requestID, n.id)
-					storedRoute = true
-				}
-			} else if l, hosts := s.localOn(svcIdx, owner); hosts {
-				n, local, migrated = s.nodes[owner], l, false
+		} else if owner := v.(int); owner != n.ID {
+			// A concurrent duplicate pinned the ID elsewhere; follow it while
+			// the owner routes the service, otherwise re-pin to the replica
+			// we picked (best-effort).
+			if on, l, ok := s.fleet.Load().Owner(svcIdx, owner); ok {
+				n, local, migrated = on, l, false
+			} else {
+				s.routes.Store(requestID, n.ID)
+				storedRoute = true
 			}
 		}
 	}
@@ -918,7 +822,7 @@ func (s *Server) countReject(svc int, reason string) {
 
 // retryAfterSeconds converts a virtual-ms backoff hint into wall seconds.
 func (s *Server) retryAfterSeconds(retryMS float64) int {
-	if s.nodes[0].bridge.Unpaced() {
+	if s.fleet.Load().Nodes()[0].bridge.Unpaced() {
 		return 1
 	}
 	sec := int(math.Ceil(retryMS / s.cfg.Speedup / 1000))
@@ -1046,20 +950,20 @@ type NodeServiceStatz struct {
 // service indices are rewritten to gateway-global. Zero state when the
 // bridge has stopped, matching the old single-engine behavior.
 func (s *Server) nodeStatz(n *node) NodeStatz {
-	st := NodeStatz{Node: n.id}
-	for _, m := range n.models {
+	st := NodeStatz{Node: n.ID}
+	for _, m := range n.Models {
 		st.Models = append(st.Models, m.String())
 	}
-	depths := make([]int, len(n.models))
+	depths := make([]int, len(n.Models))
 	_ = n.bridge.Do(func() {
-		n.adm.CopyOutstanding(depths)
-		st.BacklogPredMS = n.adm.BacklogMS()
-		st.Degrade = n.adm.Degrade().Snapshot()
-		drift := n.adm.Degrade().ServiceSnapshots()
-		for local, g := range n.global {
+		n.Adm.CopyOutstanding(depths)
+		st.BacklogPredMS = n.Adm.BacklogMS()
+		st.Degrade = n.Adm.Degrade().Snapshot()
+		drift := n.Adm.Degrade().ServiceSnapshots()
+		for local, g := range n.Global {
 			e := NodeServiceStatz{
 				Service:    g,
-				Model:      n.models[local].String(),
+				Model:      n.Models[local].String(),
 				QueueDepth: depths[local],
 			}
 			if local < len(drift) {
@@ -1069,15 +973,15 @@ func (s *Server) nodeStatz(n *node) NodeStatz {
 			}
 			st.Services = append(st.Services, e)
 		}
-		if n.tracker != nil {
-			cs := n.tracker.Snapshot()
+		if n.Tracker != nil {
+			cs := n.Tracker.Snapshot()
 			for i := range cs.Services {
-				cs.Services[i].Service = n.global[cs.Services[i].Service]
+				cs.Services[i].Service = n.Global[cs.Services[i].Service]
 			}
 			st.Calibration = &cs
 		}
-		if n.memo != nil {
-			ms := n.memo.Stats()
+		if n.Memo != nil {
+			ms := n.Memo.Stats()
 			st.PredictCache = &ms
 		}
 		st.Routed = n.routed
@@ -1171,19 +1075,28 @@ func mergePredictCache(nodes []NodeStatz) *predictor.MemoStats {
 // node 0's state through verbatim so pre-sharding consumers see identical
 // numbers.
 func (s *Server) statz() Statz {
-	nodes := s.nodes
-	var phases []string
+	// The fleet snapshot, the autoscale block and the retired snapshots are
+	// read together, so a node retiring meanwhile is listed exactly once.
 	var as *AutoscaleStatz
 	var retired []NodeStatz
+	s.scaleMu.Lock()
+	snap := s.fleet.Load()
 	if s.ctrl != nil {
-		nodes, phases, as, retired = s.autoscaleStatz()
+		as = s.autoscaleStatz()
+		retired = append(retired, s.retiredSt...)
 	}
-	nodeSt := make([]NodeStatz, len(nodes))
-	for i, n := range nodes {
-		nodeSt[i] = s.nodeStatz(n)
-		if phases != nil {
-			nodeSt[i].Phase = phases[i]
+	s.scaleMu.Unlock()
+	var nodeSt []NodeStatz
+	for id, n := range snap.Nodes() {
+		phase := snap.Phase(id)
+		if phase == scaler.Retired {
+			continue
 		}
+		st := s.nodeStatz(n)
+		if s.ctrl != nil {
+			st.Phase = phase.String()
+		}
+		nodeSt = append(nodeSt, st)
 	}
 
 	out := Statz{
@@ -1251,9 +1164,9 @@ func (s *Server) statz() Statz {
 			RejectedQueue:    st.rejectedQueue,
 			RejectedDraining: st.rejectedDraining,
 			RejectedDegraded: st.rejectedDegraded,
-			Completed:        st.completed,
-			Dropped:          st.dropped,
-			Violated:         st.violated,
+			Completed:        st.outcomes[fleet.Good] + st.outcomes[fleet.Violated],
+			Dropped:          st.outcomes[fleet.Dropped],
+			Violated:         st.outcomes[fleet.Violated],
 			QueueDepth:       loop[i].depth,
 			Margin:           loop[i].margin,
 			DriftActive:      loop[i].active,
@@ -1262,10 +1175,10 @@ func (s *Server) statz() Statz {
 		if lats := st.lats.snapshot(); len(lats) > 0 {
 			ps := stats.Percentiles(lats, 50, 99)
 			entry.P50MS, entry.P99MS = ps[0], ps[1]
-			entry.MeanMS = st.latSum / float64(st.completed)
+			entry.MeanMS = st.latSum / float64(entry.Completed)
 		}
 		if now > 0 {
-			entry.GoodputQPS = float64(st.good) / (now / 1000)
+			entry.GoodputQPS = float64(st.outcomes[fleet.Good]) / (now / 1000)
 		}
 		mu.Unlock()
 		out.Services = append(out.Services, entry)
