@@ -2,32 +2,16 @@ package cluster
 
 // LeastLoaded returns the element of candidates whose load is smallest,
 // breaking ties toward the earliest candidate — the KubeAbacus routing rule
-// (§7.6, "least outstanding work, ties by index"). It is factored out of the
-// offline simulation so the online gateway's cluster router shares the exact
-// policy. candidates must be non-empty.
+// (§7.6, "least outstanding work, ties by index"). The online router in
+// internal/fleet applies the same policy in place, without a candidate
+// slice (pinned by its TestRouteAgreesWithLeastLoaded). candidates must be
+// non-empty.
 func LeastLoaded(candidates []int, load func(int) float64) int {
 	best := candidates[0]
 	bestLoad := load(best)
 	for _, c := range candidates[1:] {
 		if l := load(c); l < bestLoad {
 			best, bestLoad = c, l
-		}
-	}
-	return best
-}
-
-// Pick is the allocation-free form of LeastLoaded for callers that already
-// hold a dense candidate slice: it returns the index i in [0, n) minimizing
-// load(i), ties toward the smallest index. With an elastic fleet the
-// routable set changes at runtime, so routers filter into a scratch slice
-// and pick over positions instead of materializing an index permutation.
-// n must be positive.
-func Pick(n int, load func(int) float64) int {
-	best := 0
-	bestLoad := load(0)
-	for i := 1; i < n; i++ {
-		if l := load(i); l < bestLoad {
-			best, bestLoad = i, l
 		}
 	}
 	return best

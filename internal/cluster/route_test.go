@@ -22,23 +22,6 @@ func TestLeastLoadedTiesGoEarliest(t *testing.T) {
 	}
 }
 
-func TestPickMatchesLeastLoaded(t *testing.T) {
-	loads := []float64{3, 1, 2, 1}
-	if got := Pick(len(loads), func(i int) float64 { return loads[i] }); got != 1 {
-		t.Errorf("Pick = %d, want 1 (smallest load, earliest tie)", got)
-	}
-	// Pick over a dense slice must agree with LeastLoaded over the
-	// identity candidate set — the two routers share one policy.
-	idx := []int{0, 1, 2, 3}
-	want := LeastLoaded(idx, func(i int) float64 { return loads[i] })
-	if got := Pick(len(loads), func(i int) float64 { return loads[i] }); got != want {
-		t.Errorf("Pick = %d, LeastLoaded = %d; policies diverged", got, want)
-	}
-	if got := Pick(1, func(int) float64 { return 9 }); got != 0 {
-		t.Errorf("single candidate picked %d, want 0", got)
-	}
-}
-
 func TestClusterPerNodeSummaries(t *testing.T) {
 	for _, p := range []Policy{KubeAbacus, Clockwork} {
 		res := smallCluster(t, p, 60, 8)

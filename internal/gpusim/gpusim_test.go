@@ -362,7 +362,8 @@ func TestMaxMinShares(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			got := maxMinShares(c.demands, c.capacity)
+			got := make([]float64, len(c.demands))
+			maxMinSharesInto(got, c.demands, c.capacity, nil)
 			if len(got) != len(c.want) {
 				t.Fatalf("len = %d, want %d", len(got), len(c.want))
 			}
@@ -386,7 +387,8 @@ func TestMaxMinSharesProperties(t *testing.T) {
 			total += demands[i]
 		}
 		capacity := float64(capRaw)/255 + 0.01
-		alloc := maxMinShares(demands, capacity)
+		alloc := make([]float64, len(demands))
+		maxMinSharesInto(alloc, demands, capacity, nil)
 		var sum float64
 		for i := range alloc {
 			if alloc[i] > demands[i]+1e-12 || alloc[i] < 0 {

@@ -116,15 +116,6 @@ type MAFConfig struct {
 	BurstFactor float64
 	// Seed drives all randomness.
 	Seed int64
-	// Legacy reproduces the original single-stream layout, where the
-	// per-minute burst coin, arrival gaps, and input draws all consumed the
-	// generator's one RNG. In that layout the config knobs are entangled:
-	// changing BurstProb shifts every later arrival draw, so two traces
-	// differing only in burstiness differ everywhere. The default layout
-	// derives an independent stream per minute plus a dedicated burst-coin
-	// stream, making every knob orthogonal. Keep Legacy only to reproduce
-	// trace bytes from before the split.
-	Legacy bool
 }
 
 // DefaultMAFConfig returns the shape used by the Figure 22 reproduction.
@@ -144,7 +135,7 @@ func DefaultMAFConfig(baseQPS, durationMS float64, seed int64) MAFConfig {
 // minute are Poisson. The real MAF trace is proprietary production data; see
 // DESIGN.md for the substitution rationale.
 //
-// Randomness layout (unless cfg.Legacy): each minute's arrivals come from an
+// Randomness layout: each minute's arrivals come from an
 // RNG derived purely from (Seed, minute), and the burst coin for minute m is
 // derived from (Seed, burst salt, m) — three independent stream families. So
 // toggling BurstProb leaves every non-burst minute byte-identical, and the
@@ -164,16 +155,8 @@ func (g *Generator) MAF(cfg MAFConfig) []Arrival {
 		}
 		phase := 2 * math.Pi * start / cfg.DurationMS
 		rate := cfg.BaseQPS * (1 + cfg.DiurnalAmplitude*math.Sin(phase))
-		var coin float64
-		var mrng *rand.Rand
-		if cfg.Legacy {
-			coin = g.rng.Float64()
-			mrng = g.rng
-		} else {
-			coin = coinAt(cfg.Seed, minute)
-			mrng = rand.New(rand.NewSource(int64(subStream(cfg.Seed, saltMAFMinute, uint64(minute)))))
-		}
-		if coin < cfg.BurstProb {
+		mrng := rand.New(rand.NewSource(int64(subStream(cfg.Seed, saltMAFMinute, uint64(minute)))))
+		if coinAt(cfg.Seed, minute) < cfg.BurstProb {
 			rate *= cfg.BurstFactor
 		}
 		ratePerMS := rate / 1000

@@ -315,24 +315,6 @@ func TestMAFPureFunction(t *testing.T) {
 	}
 }
 
-// TestMAFLegacyEntangled documents why Legacy exists: the old single-stream
-// layout entangles the burst coin with arrival draws.
-func TestMAFLegacyEntangled(t *testing.T) {
-	cfg := DefaultMAFConfig(100, 20*60_000, 6)
-	cfg.Legacy = true
-	quiet := cfg
-	quiet.BurstProb = 0
-	a := NewGenerator(models(), 6).MAF(cfg)
-	b := NewGenerator(models(), 6).MAF(quiet)
-	if reflect.DeepEqual(a, b) {
-		t.Fatal("legacy traces identical despite different BurstProb; expected entanglement")
-	}
-	// Legacy stays deterministic.
-	if !reflect.DeepEqual(a, NewGenerator(models(), 6).MAF(cfg)) {
-		t.Fatal("legacy MAF not deterministic")
-	}
-}
-
 func TestSliceSourceAndCollect(t *testing.T) {
 	arr := NewGenerator(models(), 3).Poisson(50, 2_000)
 	got := Collect(NewSliceSource(arr), 0)
