@@ -649,8 +649,8 @@ func (h *harness) attempt(r *request, now sim.Time) {
 	}
 	p := h.fleet.Route(r.svc, -1)
 	n := p.Node
-	d := n.Adm.Decide(now, p.Local, r.in, sloMS)
-	if !d.OK {
+	d, q := n.Admit(now, p.Local, r.in, sloMS)
+	if q == nil {
 		switch d.Reason {
 		case admit.ReasonQueueFull:
 			h.rep.RejectedQueue++
@@ -674,9 +674,7 @@ func (h *harness) attempt(r *request, now sim.Time) {
 			h.rep.Migrations++
 		}
 	}
-	n.Admitted(p.Local, d.WorkMS)
 	n.inflight++
-	q := n.RT.SubmitSLO(p.Local, r.in, now, sloMS)
 	h.pending[q] = &pend{predMS: d.PredMS, workMS: d.WorkMS}
 
 	// A duplicated request hits the gateway's idempotency layer and is

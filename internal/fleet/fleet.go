@@ -97,9 +97,6 @@ func (f *Fleet[N]) store(nodes []N, phases []scaler.Phase) {
 // taking new work. It returns the added and drained nodes, which the host
 // starts and retires (via Retire, once their in-flight work is done).
 func (f *Fleet[N]) Apply(adv scaler.Advice, build func(id int) N) (added, drained []N) {
-	if len(adv.Promote)+len(adv.Add)+len(adv.Drain) == 0 {
-		return nil, nil
-	}
 	cur := f.snap.Load()
 	nodes, phases := slices.Clone(cur.nodes), slices.Clone(cur.phases)
 	for _, id := range adv.Promote {
@@ -136,8 +133,6 @@ type Pick[N Host] struct {
 	Local int // the service's node-local index on Node
 	// Migrated reports that a degraded replica was skipped.
 	Migrated bool
-	// Sticky reports that the query follows its owner.
-	Sticky bool
 }
 
 // Route picks the node for one query of service svc. A non-negative owner
@@ -152,7 +147,7 @@ func (f *Fleet[N]) Route(svc, owner int) Pick[N] {
 	s := f.snap.Load()
 	if owner >= 0 {
 		if n, local, ok := s.Owner(svc, owner); ok {
-			return Pick[N]{Node: n, Local: local, Sticky: true}
+			return Pick[N]{Node: n, Local: local}
 		}
 	}
 	probe := f.probes[svc].Add(1)%probeEvery == 0

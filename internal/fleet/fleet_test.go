@@ -26,7 +26,6 @@ type want struct {
 	svc, owner int
 	id, local  int
 	migrated   bool
-	sticky     bool
 }
 
 // step is one routing decision, then an optional lifecycle change.
@@ -39,10 +38,12 @@ func TestRoute(t *testing.T) {
 	cases := []struct {
 		name string
 		// setup builds the fleet; probeNext makes the first decision a
-		// probe turn.
+		// probe turn. decisions, when set, is the expected sum of the probe
+		// counters afterwards: a sticky follow is not a routing decision.
 		setup     func() *Fleet[*Node]
 		probeNext bool
 		steps     []step
+		decisions int64
 	}{{
 		name: "non-uniform placement remaps the local index",
 		setup: func() *Fleet[*Node] {
@@ -136,9 +137,10 @@ func TestRoute(t *testing.T) {
 			return f
 		},
 		steps: []step{
-			{want: want{svc: 0, owner: 2, id: 2, sticky: true}, then: scaler.Advice{Drain: []int{2}}},
+			{want: want{svc: 0, owner: 2, id: 2}, then: scaler.Advice{Drain: []int{2}}},
 			{want: want{svc: 0, owner: 2, id: 1}},
 		},
+		decisions: 1,
 	}, {
 		name: "owner not hosting the service is ignored",
 		setup: func() *Fleet[*Node] {
@@ -157,33 +159,20 @@ func TestRoute(t *testing.T) {
 			for i, st := range c.steps {
 				w := st.want
 				p := f.Route(w.svc, w.owner)
-				got := want{svc: w.svc, owner: w.owner, id: p.Node.ID, local: p.Local, migrated: p.Migrated, sticky: p.Sticky}
+				got := want{svc: w.svc, owner: w.owner, id: p.Node.ID, local: p.Local, migrated: p.Migrated}
 				if got != w {
 					t.Errorf("step %d: got %+v, want %+v", i, got, w)
 				}
 				f.Apply(st.then, nil)
 			}
+			var decisions int64
+			for i := range f.probes {
+				decisions += f.probes[i].Load()
+			}
+			if c.decisions > 0 && decisions != c.decisions {
+				t.Errorf("%d routing decisions counted, want %d", decisions, c.decisions)
+			}
 		})
-	}
-}
-
-// TestStickyOwnerDrainsAndRemaps walks one pinned request ID through its
-// owner's drain: followed while routable, remapped afterwards, and the pin
-// check agrees with Snapshot.Owner.
-func TestStickyOwnerDrainsAndRemaps(t *testing.T) {
-	f := New(1, stub(0, 0), stub(1, 0))
-	if p := f.Route(0, 1); !p.Sticky || p.Node.ID != 1 {
-		t.Fatalf("routable owner not followed: %+v", p)
-	}
-	f.Apply(scaler.Advice{Drain: []int{1}}, nil)
-	if _, _, ok := f.Load().Owner(0, 1); ok {
-		t.Fatal("draining node still owns the service")
-	}
-	if p := f.Route(0, 1); p.Sticky || p.Node.ID != 0 {
-		t.Fatalf("drained owner not remapped: %+v", p)
-	}
-	if f.probes[0].Load() != 1 {
-		t.Errorf("probe counter %d, want 1: sticky hits must not advance it", f.probes[0].Load())
 	}
 }
 
@@ -290,12 +279,13 @@ func TestFinishSortsOutcomes(t *testing.T) {
 		{sched.Query{Service: svc, Arrival: 10, Finish: 10 + svc.QoS + 1}, Violated},
 		{sched.Query{Service: svc, Arrival: 10, Finish: 11, Dropped: true}, Dropped},
 	}
+	in := dnn.Input{Batch: 1}
 	for _, c := range cases {
-		n.Admitted(0, 3)
-		if n.load() != 3 {
-			t.Fatalf("mirror load %v after admission, want 3", n.load())
+		d, q := n.Admit(n.RT.Engine().Now(), 0, in, 0)
+		if q == nil || n.load() != d.WorkMS || d.WorkMS <= 0 {
+			t.Fatalf("admission %+v: mirror load %v", d, n.load())
 		}
-		if got := n.Finish(&c.q, 3, 3); got != c.want {
+		if got := n.Finish(&c.q, d.PredMS, d.WorkMS); got != c.want {
 			t.Errorf("%+v: outcome %v, want %v", c.q, got, c.want)
 		}
 		if n.load() != 0 || n.Adm.Outstanding(0) != 0 {

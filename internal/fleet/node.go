@@ -5,8 +5,9 @@
 //
 //   - the per-GPU node stack: base model → calibration → memo → Abacus
 //     runtime → admitter (NewNode);
-//   - the completion sink that settles every admitted query into exactly
-//     one of good, violated or dropped (Node.Finish);
+//   - admission (Node.Admit) and the completion sink that settles every
+//     admitted query into exactly one of good, violated or dropped
+//     (Node.Finish);
 //   - the fleet lifecycle: one immutable Snapshot of warming, active,
 //     draining and retired nodes, advanced from scaler.Advice;
 //   - the router: sticky owner, quarantine-probe cadence, healthy-first
@@ -158,11 +159,18 @@ const (
 	Dropped                 // dropped by the controller
 )
 
-// Admitted books one admitted query of local service svc and publishes the
-// router mirrors.
-func (n *Node) Admitted(svc int, workMS float64) {
-	n.Adm.Admitted(svc, workMS)
+// Admit renders the admission verdict for one query of local service svc
+// arriving now. An admitted query is submitted to the runtime, its backlog
+// booked, and the router mirrors published; q is nil on rejection.
+func (n *Node) Admit(now sim.Time, svc int, in dnn.Input, sloMS float64) (d admit.Decision, q *sched.Query) {
+	d = n.Adm.Decide(now, svc, in, sloMS)
+	if !d.OK {
+		return d, nil
+	}
+	q = n.RT.SubmitSLO(svc, in, now, sloMS)
+	n.Adm.Admitted(svc, d.WorkMS)
 	n.publish()
+	return d, q
 }
 
 // Finish settles one admitted query: it releases the backlog booked at

@@ -225,11 +225,10 @@ func (n *node) admitOne(s *Server, m *admitMsg) {
 	if s.cfg.Capture != nil {
 		s.cfg.Capture.Record(trace.Arrival{Time: float64(now), Service: m.global, Input: m.in})
 	}
-	m.d = n.Adm.Decide(now, m.svc, m.in, m.deadlineMS)
-	if !m.d.OK {
+	var q *sched.Query
+	if m.d, q = n.Admit(now, m.svc, m.in, m.deadlineMS); q == nil {
 		return
 	}
-	q := n.RT.SubmitSLO(m.svc, m.in, now, m.deadlineMS)
 	p := &pending{
 		q:      q,
 		id:     m.requestID,
@@ -241,7 +240,6 @@ func (n *node) admitOne(s *Server, m *admitMsg) {
 	if m.requestID != "" {
 		n.byID[m.requestID] = p
 	}
-	n.Admitted(m.svc, m.d.WorkMS)
 	n.routed++
 	if m.migrated {
 		n.migratedIn++

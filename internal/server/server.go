@@ -661,8 +661,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	s.arrivals.Add(1)
 
 	// RequestID routes are sticky, so retries land where the idempotency
-	// caches live; a pin to a node that no longer routes the service is
-	// dropped and the query remaps.
+	// caches live.
 	owner := -1
 	if requestID != "" {
 		if v, ok := s.routes.Load(requestID); ok {
@@ -670,9 +669,6 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	p := s.fleet.Route(svcIdx, owner)
-	if owner >= 0 && !p.Sticky {
-		s.routes.Delete(requestID)
-	}
 	n, local, migrated := p.Node, p.Local, p.Migrated
 	storedRoute := false
 	if requestID != "" {
@@ -681,9 +677,10 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		if v, loaded := s.routes.LoadOrStore(requestID, n.ID); !loaded {
 			storedRoute = true
 		} else if owner := v.(int); owner != n.ID {
-			// A concurrent duplicate pinned the ID elsewhere; follow it while
-			// the owner routes the service, otherwise re-pin to the replica
-			// we picked (best-effort).
+			// The pin names another node: a concurrent duplicate pinned it
+			// there, or its owner no longer routes the service. Follow a
+			// routable owner, otherwise re-pin to the replica we picked
+			// (best-effort).
 			if on, l, ok := s.fleet.Load().Owner(svcIdx, owner); ok {
 				n, local, migrated = on, l, false
 			} else {
