@@ -4,7 +4,7 @@
 // node add (a full engine + bridge stack anchored to the gateway epoch, so
 // the newcomer's virtual clock lands in lockstep with its siblings), warm-up
 // (probe-trickle-only routing until the controller promotes), and graceful
-// drain (unroutable → in-flight finishes → bridge retires → terminal stats
+// drain (draining → in-flight finishes → bridge retires → terminal stats
 // snapshot kept under /statz retired_nodes).
 //
 // The router never locks: it reads the fleet's immutable snapshot, which the
