@@ -620,9 +620,7 @@ func (h *harness) attempt(r *request, now sim.Time) {
 	h.rep.Attempts++
 	// Every attempt is offered pressure the control loop should see,
 	// whether or not admission accepts it.
-	if h.ctrl != nil {
-		h.tickQueries++
-	}
+	h.tickQueries++
 
 	// Transit faults, in a fixed order: a corrupted body reaches the
 	// gateway (and is rejected there); a dropped request never does.
