@@ -1,6 +1,7 @@
 // Command abacus-simbench runs the simulation hot-path microbenchmarks —
 // event schedule/fire, event heap churn, overlapped kernel chains on a
-// device, and a full executor group cycle — via testing.Benchmark and
+// device, a chain running alone (replayed inline), a full executor group
+// cycle, and a single-entry oracle prediction — via testing.Benchmark and
 // writes the results as BENCH_sim.json. These paths run under every
 // serving decision, so the bench lane uploads the artifact next to
 // BENCH_http.json and abacus-trend gates it: allocs/op tightly (the hot
@@ -143,6 +144,25 @@ func hotPathBenchmarks() []namedBench {
 		},
 	})
 
+	// A full Res152 batch-32 chain alone on an idle A100: the solo-chain
+	// replay every single-entry group takes, one event per chain.
+	out = append(out, namedBench{
+		name: "BenchmarkSoloChain",
+		fn: func(b *testing.B) {
+			eng := sim.NewEngine()
+			dev := gpusim.New(eng, gpusim.A100Profile())
+			m := dnn.Get(dnn.ResNet152)
+			specs := dnn.Kernels(m, dnn.Input{Batch: 32}, dev.Profile(), 0, m.NumOps())
+			done := func(any) {}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dev.RunChainArg(specs, done, nil)
+				eng.Run()
+			}
+		},
+	})
+
 	// A full executor group cycle on the hot pair: spec materialization
 	// from the cost model, two overlapped spans, synchronization.
 	out = append(out, namedBench{
@@ -165,5 +185,24 @@ func hotPathBenchmarks() []namedBench {
 		},
 	})
 
+	// The oracle's answer for a single-entry group — a whole Res152
+	// batch-32 query simulated on a private device — as the admitter's
+	// solo prediction computes it on a cache miss.
+	out = append(out, namedBench{
+		name: "BenchmarkOraclePredictSolo",
+		fn: func(b *testing.B) {
+			o := predictor.Oracle{Profile: gpusim.A100Profile()}
+			g := predictor.Group{{Model: dnn.ResNet152, OpStart: 0, OpEnd: dnn.Get(dnn.ResNet152).NumOps(), Batch: 32}}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				predictSink = o.Predict(g)
+			}
+		},
+	})
+
 	return out
 }
+
+// predictSink keeps the benchmarked predictions observable to the compiler.
+var predictSink float64

@@ -9,8 +9,10 @@ import (
 // contendedRun drives a fixed, contention-heavy workload on the device —
 // two interleaved chains plus a staggered solo launch — and returns every
 // completion instant in callback order. Used by the determinism and
-// transparency tests, which compare the result bit-for-bit.
+// transparency tests, which compare the result bit-for-bit. A no-op tracer
+// keeps every kernel on the per-kernel event path whose pools they test.
 func contendedRun(eng *sim.Engine, d *Device) []sim.Time {
+	d.SetTracer(func(KernelEvent) {})
 	var finishes []sim.Time
 	record := func() { finishes = append(finishes, eng.Now()) }
 	chainA := []KernelSpec{
@@ -165,6 +167,7 @@ func TestDeviceSteadyStateZeroAllocs(t *testing.T) {
 	}
 	completions := 0
 	countDone := func(any) { completions++ }
+	d.SetTracer(func(KernelEvent) {}) // chainA's solo tail stays on the event path
 	cycle := func() {
 		d.RunChainArg(chainA, countDone, nil)
 		d.RunChainArg(chainB, countDone, nil)

@@ -63,6 +63,9 @@ func TestClusterUnpacedEndToEnd(t *testing.T) {
 	}
 	for _, n := range st.Nodes {
 		routed += n.Routed
+		if n.KernelsCoalesced > n.KernelsLaunched || (n.Routed > 0) != (n.KernelsLaunched > 0) {
+			t.Errorf("node %d routed %d queries, launched %d kernels, coalesced %d", n.Node, n.Routed, n.KernelsLaunched, n.KernelsCoalesced)
+		}
 		if len(n.Models) != 2 {
 			t.Errorf("node %d hosts %v, want both models", n.Node, n.Models)
 		}
@@ -88,6 +91,8 @@ func TestClusterUnpacedEndToEnd(t *testing.T) {
 		"abacus_node_routed_total{node=\"1\"}",
 		"abacus_node_migrated_in_total{node=\"0\"}",
 		"abacus_node_degraded{node=\"1\"}",
+		"abacus_node_kernels_launched_total{node=\"0\"}",
+		"abacus_node_kernels_coalesced_total{node=\"1\"}",
 	} {
 		if !strings.Contains(string(body), fam) {
 			t.Errorf("metrics missing per-node sample %s", fam)

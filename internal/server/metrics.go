@@ -183,6 +183,16 @@ func renderMetrics(st Statz) []byte {
 			emit("abacus_node_migrated_in_total{node=\"%d\"} %d\n", n.Node, n.MigratedIn)
 		}
 
+		head("abacus_node_kernels_launched_total", "counter", "Kernels the node's simulated GPU launched.")
+		for _, n := range st.Nodes {
+			emit("abacus_node_kernels_launched_total{node=\"%d\"} %d\n", n.Node, n.KernelsLaunched)
+		}
+
+		head("abacus_node_kernels_coalesced_total", "counter", "Launched kernels replayed inline by a chain running alone on the GPU.")
+		for _, n := range st.Nodes {
+			emit("abacus_node_kernels_coalesced_total{node=\"%d\"} %d\n", n.Node, n.KernelsCoalesced)
+		}
+
 		if anyNodeCache(st.Nodes) {
 			head("abacus_node_predict_cache_hits_total", "counter", "Per-node predictions answered from the group-signature cache.")
 			for _, n := range st.Nodes {

@@ -923,13 +923,19 @@ type NodeStatz struct {
 	QueueDepth    int     `json:"queue_depth"`
 	// Routed counts admissions the router sent here; MigratedIn counts the
 	// subset routed here because a degraded sibling was skipped.
-	Routed               int64                `json:"routed"`
-	MigratedIn           int64                `json:"migrated_in"`
-	DuplicatesSuppressed int64                `json:"duplicates_suppressed"`
-	Degrade              admit.Status         `json:"degrade"`
-	Calibration          *calib.Status        `json:"calibration,omitempty"`
-	PredictCache         *predictor.MemoStats `json:"predict_cache,omitempty"`
-	Services             []NodeServiceStatz   `json:"services"`
+	Routed               int64 `json:"routed"`
+	MigratedIn           int64 `json:"migrated_in"`
+	DuplicatesSuppressed int64 `json:"duplicates_suppressed"`
+	// KernelsLaunched counts the kernels the node's simulated GPU
+	// launched; KernelsCoalesced counts those a chain running alone on the
+	// device replayed inline, without per-kernel events. Their ratio is the
+	// share of the node's work that ran with no co-runner.
+	KernelsLaunched  int64                `json:"kernels_launched"`
+	KernelsCoalesced int64                `json:"kernels_coalesced"`
+	Degrade          admit.Status         `json:"degrade"`
+	Calibration      *calib.Status        `json:"calibration,omitempty"`
+	PredictCache     *predictor.MemoStats `json:"predict_cache,omitempty"`
+	Services         []NodeServiceStatz   `json:"services"`
 }
 
 // NodeServiceStatz is one hosted service's per-node state. Service is the
@@ -984,6 +990,9 @@ func (s *Server) nodeStatz(n *node) NodeStatz {
 		st.Routed = n.routed
 		st.MigratedIn = n.migratedIn
 		st.DuplicatesSuppressed = n.duplicates
+		dev := n.RT.Device()
+		st.KernelsLaunched = dev.Launched()
+		st.KernelsCoalesced = dev.Coalesced()
 	})
 	st.NowMS = n.bridge.Now()
 	for _, e := range st.Services {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"abacus/internal/dnn"
+	"abacus/internal/realtime"
 )
 
 // newTestServer builds a gateway, serves it from an httptest listener, and
@@ -290,6 +292,39 @@ func TestMetricsEndpointValidates(t *testing.T) {
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("exposition missing %s", want)
+		}
+	}
+}
+
+// TestStatzReportsCoalescedKernels: queries served one at a time each run
+// alone on the node's GPU, so every kernel they launch is coalesced, and
+// /statz and /metrics report the same per-node counts.
+func TestStatzReportsCoalescedKernels(t *testing.T) {
+	_, c := newTestServer(t, Config{Models: []dnn.ModelID{dnn.ResNet152}, Speedup: realtime.Unpaced})
+	ctx := context.Background()
+	for i := 0; i < 3; i++ {
+		if resp, status, err := c.Infer(ctx, InferRequest{Model: "Res152", Batch: 8}); err != nil || !resp.Accepted {
+			t.Fatalf("infer: status %d resp %+v err %v", status, resp, err)
+		}
+	}
+	st, err := c.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := st.Nodes[0]
+	if n.KernelsLaunched == 0 || n.KernelsCoalesced != n.KernelsLaunched {
+		t.Errorf("node 0 coalesced %d of %d kernels, want all of them", n.KernelsCoalesced, n.KernelsLaunched)
+	}
+	body, err := c.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		fmt.Sprintf("abacus_node_kernels_launched_total{node=\"0\"} %d\n", n.KernelsLaunched),
+		fmt.Sprintf("abacus_node_kernels_coalesced_total{node=\"0\"} %d\n", n.KernelsCoalesced),
+	} {
+		if !strings.Contains(string(body), want) {
+			t.Errorf("exposition missing %q", want)
 		}
 	}
 }

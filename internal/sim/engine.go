@@ -91,6 +91,10 @@ type Engine struct {
 	freeLen int
 	alloced int // total Event objects ever allocated (diagnostics)
 	running bool
+	// firing is the insertion sequence of the event whose callback is
+	// running, or of the last one run; Run and RunUntil set it past every
+	// sequence on return, since every event due by now has then fired.
+	firing uint64
 }
 
 // NewEngine returns an engine with the clock at zero.
@@ -235,16 +239,28 @@ func (e *Engine) Step() bool {
 	}
 	ev := heap.Pop(&e.pending).(*Event)
 	e.now = ev.at
+	e.firing = ev.seq
 	fn, arg := ev.fn, ev.arg
 	e.recycle(ev)
 	fn(arg)
 	return true
 }
 
+// Precedes reports whether the engine's position — the event whose
+// callback is running, or the last one run — was scheduled before the
+// pending event h: an event scheduled after h and due now has then not yet
+// fired. It is false when h is not pending, and after Run or RunUntil
+// returns, when every event due by Now has fired. A component that replays
+// its own future events inline uses it to tell whether one of them due now
+// would already have fired.
+func (e *Engine) Precedes(h Handle) bool {
+	return h.Active() && e.firing < h.ev.seq
+}
+
 // Run executes events until the queue is empty.
 func (e *Engine) Run() {
 	e.guardReentry()
-	defer func() { e.running = false }()
+	defer e.settle()
 	for e.Step() {
 	}
 }
@@ -256,11 +272,17 @@ func (e *Engine) RunUntil(deadline Time) {
 		panic(fmt.Sprintf("sim: RunUntil(%v) before now %v", deadline, e.now))
 	}
 	e.guardReentry()
-	defer func() { e.running = false }()
+	defer e.settle()
 	for len(e.pending) > 0 && e.pending[0].at <= deadline {
 		e.Step()
 	}
 	e.now = deadline
+}
+
+// settle ends a run loop: every event due by now has fired.
+func (e *Engine) settle() {
+	e.running = false
+	e.firing = ^uint64(0)
 }
 
 func (e *Engine) guardReentry() {

@@ -517,3 +517,32 @@ func TestPoolTransparency(t *testing.T) {
 		}
 	}
 }
+
+// TestPrecedes pins the firing-position semantics: an event scheduled
+// before h precedes it, inside its callback and after a bare Step; one
+// scheduled after h does not; nor does any position once a run loop
+// returns, or an h that is no longer pending.
+func TestPrecedes(t *testing.T) {
+	e := NewEngine()
+	var early, late bool
+	var h Handle
+	e.Schedule(1, func() {})
+	e.Schedule(2, func() { early = e.Precedes(h) })
+	h = e.Schedule(5, func() {})
+	e.Schedule(3, func() { late = e.Precedes(h) })
+	e.Step()
+	if !e.Precedes(h) {
+		t.Error("position after stepping an earlier-scheduled event does not precede h")
+	}
+	e.RunUntil(4)
+	if !early || late {
+		t.Errorf("inside callbacks: earlier-scheduled %v (want true), later-scheduled %v (want false)", early, late)
+	}
+	if e.Precedes(h) {
+		t.Error("position after RunUntil precedes a pending event")
+	}
+	e.Step()
+	if e.Precedes(h) {
+		t.Error("Precedes true for a fired event")
+	}
+}
